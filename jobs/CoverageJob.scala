@@ -18,10 +18,10 @@ object CoverageJob {
     val engine = new Engine(spark, EngineConfig(
       chunkSizeLimit = 16 << 10, treeReduceThreshold = 16 << 10,
       broadcastThreshold = 8 << 10))
-    val ctx = ApiCoverage.makeCtx(spark, engine)
+    val outcomes = ApiCoverage.execute(ApiCoverage.makeCtx(spark, engine))
     println("Table V — API coverage rate")
     ApiCoverage.facades.foreach { f =>
-      println(f"${f.name}%-10s ${ApiCoverage.coverageRate(f, ctx)}%6.1f %%")
+      println(f"${f.name}%-10s ${ApiCoverage.coverageRate(f, outcomes)}%6.1f %%")
     }
     engine.reset()
     spark.stop()

@@ -55,33 +55,6 @@ object ChunkGraph {
     seen.toVector
   }
 
-  /** Topological order (inputs before consumers) of a task set; inputs
-    * outside the set are treated as satisfied.
-    */
-  def topoSort(tasks: Vector[ChunkTask]): Vector[ChunkTask] = {
-    val inSet = tasks.map(_.id).toSet
-    val indeg = scala.collection.mutable.Map[Long, Int]()
-    val succs = scala.collection.mutable.Map[Long, Vector[ChunkTask]]().withDefaultValue(Vector.empty)
-    tasks.foreach { t =>
-      val ins = t.inputs.filter(i => inSet.contains(i.id))
-      indeg(t.id) = ins.size
-      ins.foreach(i => succs(i.id) = succs(i.id) :+ t)
-    }
-    // Stable: seed queue in given order, FIFO.
-    val queue = scala.collection.mutable.Queue[ChunkTask](tasks.filter(t => indeg(t.id) == 0): _*)
-    val out = Vector.newBuilder[ChunkTask]
-    var n = 0
-    while (queue.nonEmpty) {
-      val t = queue.dequeue(); out += t; n += 1
-      succs(t.id).foreach { s =>
-        indeg(s.id) -= 1
-        if (indeg(s.id) == 0) queue.enqueue(s)
-      }
-    }
-    require(n == tasks.size, s"cycle detected in chunk graph ($n of ${tasks.size} ordered)")
-    out.result()
-  }
-
   /** Successor map restricted to the given task set. */
   def successors(tasks: Vector[ChunkTask]): Map[Long, Vector[ChunkTask]] = {
     val inSet = tasks.map(_.id).toSet
@@ -90,5 +63,36 @@ object ChunkGraph {
       t.inputs.foreach { i => if (inSet.contains(i.id)) m(i.id) = m(i.id) :+ t }
     }
     m.toMap.withDefaultValue(Vector.empty)
+  }
+}
+
+/** The one topological sort: `Engine.execute` orders chunk tasks with it
+  * (fusion coloring consumes that order) and then the fused subtasks.
+  */
+object Topo {
+
+  /** Kahn's sort (inputs before consumers) of `nodes`; predecessors
+    * outside `nodes` count as satisfied. Stable: the queue is seeded with
+    * the ready nodes in the given order and drained FIFO, which the
+    * breadth-first band assignment relies on.
+    */
+  def sort[N](nodes: Vector[N], preds: N => Seq[N]): Vector[N] = {
+    val inSet = nodes.toSet
+    val indeg = scala.collection.mutable.Map[N, Int]()
+    val succs = scala.collection.mutable.Map[N, Vector[N]]().withDefaultValue(Vector.empty)
+    nodes.foreach { n =>
+      val ps = preds(n).filter(inSet.contains)
+      indeg(n) = ps.size
+      ps.foreach(p => succs(p) = succs(p) :+ n)
+    }
+    val queue = scala.collection.mutable.Queue[N](nodes.filter(indeg(_) == 0): _*)
+    val out = Vector.newBuilder[N]
+    var seen = 0
+    while (queue.nonEmpty) {
+      val n = queue.dequeue(); out += n; seen += 1
+      succs(n).foreach { s => indeg(s) -= 1; if (indeg(s) == 0) queue.enqueue(s) }
+    }
+    require(seen == nodes.size, s"cycle detected ($seen of ${nodes.size} ordered)")
+    out.result()
   }
 }

@@ -38,8 +38,6 @@ final case class EngineConfig(
     bandsPerWorker: Int = 2,
     /** Memory-tier budget of the storage service before spilling to disk. */
     memoryBudget: Long = 1L << 30,
-    /** Record key-skew observations during sampling (profiling runs). */
-    measureSkew: Boolean = false,
 ) {
   def numBands: Int = workers * bandsPerWorker
 }

@@ -41,8 +41,6 @@ final class EngineStats {
   val traces: mutable.ArrayBuffer[SubtaskTrace] = mutable.ArrayBuffer.empty
   /** Per-tileable-operator output totals (label → (rows, bytes)). */
   val opOutputs: mutable.LinkedHashMap[String, (Long, Long)] = mutable.LinkedHashMap.empty
-  /** Max observed key share per shuffle operator label (profiling mode). */
-  val skewObs: mutable.LinkedHashMap[String, Double] = mutable.LinkedHashMap.empty
 
   def remoteBytes: Long = traces.map(_.remoteBytes).sum
   def localBytes: Long = traces.map(t => t.inputBytes - t.remoteBytes).sum

@@ -184,17 +184,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def shuffleReduce(nReducers: Int): Vector[ChunkTask] = {
       stats.shuffleReduces += 1
-      val r = math.max(2, nReducers)
-      val buckets = mapTasks.map { m =>
-        (0 until r).toVector.map { b =>
-          task(s"GroupbyAgg::bucket[${m.index._1},$b]", Stage.Map, (b, 0), Vector(m),
-            dfs => dfs.head.filter(pmod(hash(keys.map(col): _*), lit(r)) === b))
-        }
-      }
-      (0 until r).toVector.map { b =>
-        task(s"GroupbyAgg::agg[$b]", Stage.Reduce, (b, 0), buckets.map(_(b)),
-          dfs => finalize(mergeAgg(dfs)))
-      }
+      shuffle("GroupbyAgg::agg", mapTasks, nReducers, _ => keys)(dfs => finalize(mergeAgg(dfs)))
     }
 
     if (keys.isEmpty) {
@@ -247,22 +237,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     def shuffleMerge(nReducers: Int): Vector[ChunkTask] = {
       stats.shuffleMerges += 1
-      val r = math.max(2, nReducers)
-      def bucketSide(side: Vector[ChunkTask], tag: String) = side.map { c =>
-        (0 until r).toVector.map { b =>
-          task(s"Merge::bucket$tag[${c.index._1},$b]", Stage.Map, (b, 0), Vector(c),
-            dfs => dfs.head.filter(pmod(hash(on.map(col): _*), lit(r)) === b))
-        }
-      }
-      val lb = bucketSide(left, "L"); val rb = bucketSide(right, "R")
       val nl = left.size
-      (0 until r).toVector.map { b =>
-        val inputsB = lb.map(_(b)) ++ rb.map(_(b))
-        task(s"Merge::join[$b]", Stage.Reduce, (b, 0), inputsB, dfs => {
-          val l = dfs.take(nl).map(_.drop(Cols.RowId)).reduce(_ unionByName _)
-          val rr = dfs.drop(nl).map(_.drop(Cols.RowId)).reduce(_ unionByName _)
-          joinCompute(l, rr)
-        })
+      shuffle("Merge::join", left ++ right, nReducers, _ => on) { dfs =>
+        val unrowed = dfs.map(_.drop(Cols.RowId))
+        joinCompute(unrowed.take(nl).reduce(_ unionByName _), unrowed.drop(nl).reduce(_ unionByName _))
       }
     }
 
@@ -281,7 +259,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           else (ms.map(_.bytes).sum.toDouble / ms.size * side.size).toLong
         }
         val el = estSide(left); val er = estSide(right)
-        if (config.measureSkew) recordMergeSkew(s"Merge(${on.mkString(",")})", left.take(config.sampleChunks), on)
         // Broadcasting the LEFT side is only sound for inner joins: for
         // left/leftsemi/leftanti the output must stay partitioned by the
         // left chunks (each right chunk would otherwise see a partial
@@ -296,19 +273,6 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
           Tiled(shuffleMerge(math.min(math.max(2, r), 64)))
         }
       })
-    }
-  }
-
-  /** Hot-key share observed on sampled merge inputs (profiling mode). */
-  private def recordMergeSkew(label: String, sample: Seq[ChunkTask], keys: Seq[String]): Unit = {
-    val dfs = sample.filter(isMaterialized).map(t => storage.get(keyOf(t), 0))
-    if (dfs.nonEmpty) {
-      val df = dfs.reduce(_ unionByName _)
-      val total = df.count().toDouble
-      if (total > 0) {
-        val hot = df.groupBy(keys.map(col): _*).count().agg(max("count")).head().getLong(0)
-        stats.skewObs(label) = hot / total
-      }
     }
   }
 
@@ -389,20 +353,31 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
       task(s"Distinct::map[$r]", Stage.Map, (r, 0), Vector(c), dfs => dedup(dfs.head))
     }
     if (mapTasks.size == 1) return Tiled(mapTasks)
-    val r = math.max(2, math.min(ins.size, config.staticReducers))
-    val buckets = mapTasks.map { mt =>
-      (0 until r).toVector.map { b =>
-        task(s"Distinct::bucket[${mt.index._1},$b]", Stage.Map, (b, 0), Vector(mt), dfs => {
-          val df = dfs.head
-          val cols0 = if (d.subset.isEmpty) df.columns.toSeq.filterNot(_ == Cols.RowId) else d.subset
-          df.filter(pmod(hash(cols0.map(col): _*), lit(r)) === b)
-        })
-      }
+    def keysOf(df: DataFrame): Seq[String] =
+      if (d.subset.isEmpty) df.columns.toSeq.filterNot(_ == Cols.RowId) else d.subset
+    Tiled(shuffle("Distinct::agg", mapTasks, math.min(ins.size, config.staticReducers), keysOf)(
+      dfs => dedup(dfs.reduce(_ unionByName _))))
+  }
+
+  // -- Hash shuffle: the one bucketing primitive -------------------------
+
+  /** `max(2, nReducers)` reducer tasks `label[b]`, each taking all of
+    * `ins` as inputs. Reducer `b` keeps the rows of every input whose key
+    * hash falls in bucket `b`, then applies `reduce`: each map chunk is
+    * stored once and every reducer reads its bucket from it.
+    */
+  private def shuffle(
+      label: String,
+      ins: Vector[ChunkTask],
+      nReducers: Int,
+      keysOf: DataFrame => Seq[String],
+  )(reduce: Seq[DataFrame] => DataFrame): Vector[ChunkTask] = {
+    val r = math.max(2, nReducers)
+    (0 until r).toVector.map { b =>
+      task(s"$label[$b]", Stage.Reduce, (b, 0), ins, dfs => reduce(dfs.map { df =>
+        df.filter(pmod(hash(keysOf(df).map(col): _*), lit(r)) === b)
+      }))
     }
-    Tiled((0 until r).toVector.map { b =>
-      task(s"Distinct::agg[$b]", Stage.Reduce, (b, 0), buckets.map(_(b)),
-        dfs => dedup(dfs.reduce(_ unionByName _)))
-    })
   }
 
   // -- Pivot: non-relational reshape, single output chunk ----------------
@@ -431,17 +406,17 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
   def execute(targets: Seq[ChunkTask]): Unit = {
     val need = ChunkGraph.closure(targets, isMaterialized)
     if (need.isEmpty) return
-    val topo = ChunkGraph.topoSort(need)
+    val topo = Topo.sort(need, (t: ChunkTask) => t.inputs)
     val subtasks = SubtaskGraph.build(topo, config.graphFusion)
     stats.tasksFusedAway += (topo.size - subtasks.size)
 
-    val order = SubtaskGraph.topoOrder(subtasks)
     val predMap = SubtaskGraph.preds(subtasks)
     val stById = subtasks.map(st => st.id -> st).toMap
+    val order = Topo.sort(subtasks.map(_.id), predMap)
     val owner: Map[Long, Long] = subtasks.flatMap(st => st.tasks.map(t => t.id -> st.id)).toMap
 
     val bands = scheduler.assign(
-      order.map(_.id),
+      order,
       id => predMap(id).isEmpty && stById(id).externalInputs.isEmpty,
       id => stById(id).externalInputs.map { t =>
         val bytes = metaOf(t).map(_.bytes).getOrElse(1L)
@@ -454,7 +429,7 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
 
     val targetIds = targets.map(_.id).toSet
     val succAll = ChunkGraph.successors(topo)
-    order.foreach(st => runSubtask(st, bands(st.id), targetIds, succAll))
+    order.foreach(id => runSubtask(stById(id), bands(id), targetIds, succAll))
     recordOpOutputs()
   }
 
@@ -508,9 +483,10 @@ final class Engine(val spark: SparkSession, val config: EngineConfig) {
     // Execution plan: which tasks run, their effective inputs, and how
     // many internal consumers each output has. A fused subtask must
     // compute each member ONCE (the paper's subtask semantics): outputs
-    // consumed by several internal tasks — e.g. a map feeding its R
-    // bucket splits — are pinned with a one-shot Spark persist, since
-    // chunk fragments are lazy plans that would otherwise recompute.
+    // consumed by several internal tasks — e.g. one map chunk feeding
+    // several shuffle reducers fused into its subtask — are pinned with a
+    // one-shot Spark persist, since chunk fragments are lazy plans that
+    // would otherwise recompute.
     val execTasks = st.tasks.filterNot(t => skip.contains(t.id))
     def effInputs(t: ChunkTask): Vector[ChunkTask] =
       if (config.operatorFusion && effIns.contains(t.id)) effIns(t.id) else t.inputs

@@ -249,20 +249,26 @@ object ApiCoverage {
   case object Unsupported extends CaseResult
   final case class Failed(err: String) extends CaseResult
 
-  /** Run all cases against one facade; returns per-case results. */
-  def evaluate(facade: Facade, ctx: CovCtx): Vector[(ApiCase, CaseResult)] =
-    cases.map { cse =>
-      val res =
-        if ((cse.features intersect facade.missing).nonEmpty) Unsupported
-        else
-          try { cse.run(ctx); Pass }
-          catch { case e: Throwable => Failed(e.getMessage) }
-      (cse, res)
-    }
+  /** Whether the facade offers every API feature the case needs. */
+  private def supports(facade: Facade, cse: ApiCase): Boolean =
+    (cse.features intersect facade.missing).isEmpty
+
+  /** Execute every case some facade supports, once, on the shared
+    * engine: the outcome per case id. All facades share the execution
+    * substrate, so one run serves them all.
+    */
+  def execute(ctx: CovCtx): Map[Int, CaseResult] =
+    cases.filter(cse => facades.exists(supports(_, cse))).map { cse =>
+      cse.id -> (try { cse.run(ctx); Pass } catch { case e: Throwable => Failed(e.getMessage) })
+    }.toMap
+
+  /** One facade's per-case results, derived from the shared outcomes. */
+  def evaluate(facade: Facade, outcomes: Map[Int, CaseResult]): Vector[(ApiCase, CaseResult)] =
+    cases.map(cse => (cse, if (supports(facade, cse)) outcomes(cse.id) else Unsupported))
 
   /** Coverage rate (%) for one facade. */
-  def coverageRate(facade: Facade, ctx: CovCtx): Double = {
-    val rs = evaluate(facade, ctx)
+  def coverageRate(facade: Facade, outcomes: Map[Int, CaseResult]): Double = {
+    val rs = evaluate(facade, outcomes)
     100.0 * rs.count(_._2 == Pass) / rs.size
   }
 }

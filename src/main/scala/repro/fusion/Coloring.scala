@@ -17,13 +17,14 @@ package repro.fusion
   */
 object Coloring {
 
-  /** Color each node; returns node → color id. `nodes` must be unique. */
+  /** Color each node; returns node → color id. `topo` must be unique and
+    * topologically ordered (see `repro.core.Topo.sort`).
+    */
   def color[N](
-      nodes: Vector[N],
+      topo: Vector[N],
       preds: N => Seq[N],
       succs: N => Seq[N],
   ): Map[N, Int] = {
-    val topo = topoSort(nodes, preds)
     var next = 0
     def fresh(): Int = { next += 1; next }
 
@@ -66,17 +67,17 @@ object Coloring {
     colors
   }
 
-  /** Group nodes into fused subtasks: maximal weakly-connected components
-    * of equal color. Returns groups in topological order of their first
-    * member, each group internally topo-ordered.
+  /** Group topologically ordered nodes into fused subtasks: maximal
+    * weakly-connected components of equal color. Returns groups in
+    * topological order of their first member, each group internally
+    * topo-ordered.
     */
   def fuse[N](
-      nodes: Vector[N],
+      topo: Vector[N],
       preds: N => Seq[N],
       succs: N => Seq[N],
   ): Vector[Vector[N]] = {
-    val topo = topoSort(nodes, preds)
-    val colors = color(nodes, preds, succs)
+    val colors = color(topo, preds, succs)
     val group = scala.collection.mutable.Map[N, Int]()
     var nGroups = 0
     // Union along edges whose endpoints share a color, walking topo order.
@@ -99,25 +100,5 @@ object Coloring {
       .toVector
       .sortBy { case (_, ns) => topo.indexOf(ns.head) }
       .map(_._2)
-  }
-
-  private def topoSort[N](nodes: Vector[N], preds: N => Seq[N]): Vector[N] = {
-    val inSet = nodes.toSet
-    val indeg = scala.collection.mutable.Map[N, Int]()
-    val succs = scala.collection.mutable.Map[N, Vector[N]]().withDefaultValue(Vector.empty)
-    nodes.foreach { n =>
-      val ps = preds(n).filter(inSet.contains)
-      indeg(n) = ps.size
-      ps.foreach(p => succs(p) = succs(p) :+ n)
-    }
-    val queue = scala.collection.mutable.Queue[N](nodes.filter(indeg(_) == 0): _*)
-    val out = Vector.newBuilder[N]
-    var seen = 0
-    while (queue.nonEmpty) {
-      val n = queue.dequeue(); out += n; seen += 1
-      succs(n).foreach { s => indeg(s) -= 1; if (indeg(s) == 0) queue.enqueue(s) }
-    }
-    require(seen == nodes.size, "cycle in fusion graph")
-    out.result()
   }
 }

@@ -20,12 +20,12 @@ final case class Subtask(id: Long, tasks: Vector[ChunkTask]) {
 /** Builds the subtask graph from a chunk-task subgraph. */
 object SubtaskGraph {
 
-  /** Fuse `tasks` (a closed subgraph: inputs either inside or already
-    * materialized) into subtasks via the coloring algorithm. When
-    * `graphFusion` is false every task becomes its own subtask.
+  /** Fuse `topo` (a closed subgraph in topological order: inputs either
+    * inside or already materialized) into subtasks via the coloring
+    * algorithm. When `graphFusion` is false every task becomes its own
+    * subtask.
     */
-  def build(tasks: Vector[ChunkTask], graphFusion: Boolean): Vector[Subtask] = {
-    val topo = ChunkGraph.topoSort(tasks)
+  def build(topo: Vector[ChunkTask], graphFusion: Boolean): Vector[Subtask] = {
     if (!graphFusion) return topo.map(t => Subtask(t.id, Vector(t)))
     val inSet = topo.map(_.id).toSet
     val succ = ChunkGraph.successors(topo)
@@ -34,7 +34,7 @@ object SubtaskGraph {
       t => t.inputs.filter(i => inSet.contains(i.id)),
       t => succ(t.id),
     )
-    groups.map(g => Subtask(g.head.id, ChunkGraph.topoSort(g)))
+    groups.map(g => Subtask(g.head.id, g))
   }
 
   /** Subtask-level predecessor map (by subtask id), restricted to the
@@ -47,26 +47,5 @@ object SubtaskGraph {
       val ps = st.externalInputs.flatMap(t => owner.get(t.id)).distinct
       st.id -> ps
     }.toMap
-  }
-
-  /** Topological order of subtasks (inputs first). */
-  def topoOrder(subtasks: Vector[Subtask]): Vector[Subtask] = {
-    val p = preds(subtasks)
-    val byId = subtasks.map(st => st.id -> st).toMap
-    val indeg = scala.collection.mutable.Map[Long, Int]()
-    val succ = scala.collection.mutable.Map[Long, Vector[Long]]().withDefaultValue(Vector.empty)
-    subtasks.foreach { st =>
-      indeg(st.id) = p(st.id).size
-      p(st.id).foreach(q => succ(q) = succ(q) :+ st.id)
-    }
-    val queue = scala.collection.mutable.Queue[Long](subtasks.map(_.id).filter(indeg(_) == 0): _*)
-    val out = Vector.newBuilder[Subtask]
-    while (queue.nonEmpty) {
-      val id = queue.dequeue(); out += byId(id)
-      succ(id).foreach { s => indeg(s) -= 1; if (indeg(s) == 0) queue.enqueue(s) }
-    }
-    val res = out.result()
-    require(res.size == subtasks.size, "cycle in subtask graph")
-    res
   }
 }

@@ -35,6 +35,18 @@ class TilingEngineSpec extends SparkSpec {
       s"  got head: ${g.take(3).toVector}\n  want head: ${w.take(3).toVector}")
   }
 
+  /** A hash shuffle stores each map-side chunk once plus one chunk per
+    * reducer: no per-(map, reducer) bucket chunks.
+    */
+  private def assertShuffleStoresMapsPlusReducers(e: Engine, mapSide: String, reducer: String): Unit = {
+    val labels = e.stats.traces.flatMap(_.labels)
+    assert(!labels.exists(_.contains("::bucket")), s"bucket tasks ran: $labels")
+    val maps = labels.count(_.startsWith(mapSide)); val reducers = labels.count(_.startsWith(reducer))
+    assert(reducers >= 2, labels)
+    assert(e.storage.stats.puts == maps + reducers,
+      s"puts ${e.storage.stats.puts} != $maps map-side chunks + $reducers reducers")
+  }
+
   private def withEngine[T](c: EngineConfig)(f: Engine => T): T = {
     val e = new Engine(spark, c)
     try f(e) finally e.reset()
@@ -98,6 +110,7 @@ class TilingEngineSpec extends SparkSpec {
       val got = XFrame.source(e, "t", src).groupby("k").agg(SumAgg("v", "sv")).toDF()
       assert(e.stats.shuffleReduces == 1, s"expected shuffle-reduce: ${e.stats}")
       assertSameSet(got, src.groupBy("k").agg(sum("v") as "sv"))
+      assertShuffleStoresMapsPlusReducers(e, "GroupbyAgg::map[", "GroupbyAgg::agg[")
     }
   }
 
@@ -155,6 +168,7 @@ class TilingEngineSpec extends SparkSpec {
       val got = XFrame.source(e, "a", a).merge(XFrame.source(e, "b", b), Seq("k")).toDF()
       assert(e.stats.shuffleMerges == 1 && e.stats.broadcastMerges == 0, e.stats.toString)
       assertSameSet(got, a.join(b, Seq("k")))
+      assertShuffleStoresMapsPlusReducers(e, "Read(", "Merge::join[")
     }
   }
 

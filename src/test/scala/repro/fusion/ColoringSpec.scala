@@ -75,8 +75,9 @@ class ColoringSpec extends AnyFunSuite {
   }
 
   test("map fan-out: source with several same-colored consumers keeps them together") {
-    // source 1 feeds buckets 2, 3, 4 (all inherit 1's color; no external
-    // consumers) — models map + bucket fusion in the shuffle path.
+    // source 1 feeds consumers 2, 3, 4 (all inherit 1's color; no external
+    // consumers) — models one map chunk feeding every shuffle reducer when
+    // it is the reducers' only unstored input, so they fuse into its subtask.
     val g = Map(1 -> Seq.empty[Int], 2 -> Seq(1), 3 -> Seq(1), 4 -> Seq(1))
     val (nodes, p, s) = graph(g)
     val groups = Coloring.fuse(nodes, p, s).map(_.toSet)
